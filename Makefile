@@ -24,9 +24,10 @@ lint:
 race:
 	$(GO) test -race ./internal/measure/... ./internal/analysis/...
 
-# Robustness gate: go vet, a short fuzz smoke over the dnswire codec, and
-# the chaos matrix (failpoint kill/resume byte-identity, worker supervision,
-# torn-tail recovery). See scripts/check.sh.
+# Robustness gate: go vet, rootlint, the full test suite, a short fuzz smoke
+# over the dnswire codec, and the chaos matrix (failpoint kill/resume
+# byte-identity, worker supervision, torn-tail recovery). See
+# scripts/check.sh.
 check:
 	sh scripts/check.sh
 

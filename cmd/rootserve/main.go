@@ -43,7 +43,7 @@ func main() {
 	useRSA := flag.Bool("rsa", false, "sign with RSA/SHA-256 (algorithm 8, like the real root) instead of ECDSA-P256")
 	serveWorkers := flag.Int("serve-workers", 0, "UDP read loops (SO_REUSEPORT sockets on linux); 0 = GOMAXPROCS")
 	noCache := flag.Bool("no-cache", false, "disable the response cache (every query takes the full lookup path)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "response cache budget in bytes; 0 = 8 MiB default")
+	cacheBytes := flag.Int64("cache-bytes", 0, "response cache budget in bytes; 0 = 1 MiB default (repeated names only; misses are cheap)")
 	netemSpec := flag.String("netem", "", "adverse-network profile, e.g. loss=0.1,corrupt=0.05,seed=7 (see internal/netem)")
 	rrlSpec := flag.String("rrl", "", "response-rate-limiting, e.g. rate=0.5,burst=8,slip=2,seed=7 (empty = off)")
 	qlogPath := flag.String("qlog", "", "record a per-query flight log to this file (empty = off)")

@@ -359,7 +359,9 @@ type blockDecoder struct {
 // decodeAll decodes records until the payload is exhausted, enforcing the
 // declared record count in both directions.
 func (d *blockDecoder) decodeAll(count uint32) blockResult {
-	res := blockResult{events: make([]replayEvent, 0, count)}
+	// Every record takes at least a byte: the payload bounds the allocation
+	// a corrupt header count can ask for.
+	res := blockResult{events: make([]replayEvent, 0, min(int(count), d.rr.Len()))}
 	left := count
 	for d.rr.Len() > 0 {
 		kind, err := d.uvarint()

@@ -93,13 +93,20 @@ type rrsetKey struct {
 // KSK-signed, every other RRset ZSK-signed, NSEC chain built over the owner
 // names. The input zone must not already contain DNSSEC records.
 func (s *Signer) Sign(z *zone.Zone, now time.Time) (*zone.Zone, error) {
+	// The SOA is picked up in the same pass: z.SOA() would build the input
+	// zone's lookup index, which is thrown away with the input zone.
+	var soa dnswire.RR
+	ok := false
 	for _, rr := range z.Records {
 		switch rr.Type() {
 		case dnswire.TypeRRSIG, dnswire.TypeNSEC, dnswire.TypeDNSKEY:
 			return nil, fmt.Errorf("dnssec: zone already contains %s records", rr.Type())
+		case dnswire.TypeSOA:
+			if !ok && dnswire.CompareCanonical(rr.Name, z.Apex) == 0 {
+				soa, ok = rr, true
+			}
 		}
 	}
-	soa, ok := z.SOA()
 	if !ok {
 		return nil, errors.New("dnssec: zone has no SOA")
 	}

@@ -3,9 +3,14 @@ package dnsserver
 import "sync"
 
 // defaultCacheBytes bounds the response cache when Config.CacheBytes is
-// zero. A root zone's working set (every TLD referral × EDNS buckets) fits
-// with room to spare; junk-query NXDOMAINs churn through the remainder.
-const defaultCacheBytes = 8 << 20
+// zero. Keys include the full qname, so a root's working set has no fixed
+// size: every distinct name under a TLD, and every junk name, takes an entry
+// of its own, and a budget of any size fills under junk-heavy traffic. The
+// budget therefore only needs to hold the repeated names — about a thousand
+// answers fit in 1 MiB — while the indexed zone answers a miss in
+// microseconds. A larger budget mostly buys resident memory: 8 MiB roughly
+// tripled the live heap of a 1,500-TLD zone.
+const defaultCacheBytes = 1 << 20
 
 // cacheEntryOverhead is the accounting charge per entry beyond its key and
 // wire bytes, approximating map bucket and slice header costs.

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -100,4 +101,40 @@ func benchRecorder(b *testing.B, s qlog.Sampler) *qlog.Recorder {
 		b.Fatal(err)
 	}
 	return rec
+}
+
+// BenchmarkHandleMiss times the miss path — Handle with the response cache
+// off — on signed root zones of 120 and 1,500 TLDs (the real root has
+// ~1,450), for the answers a root server gives most often: NXDOMAIN with
+// and without its NSEC proof, a TLD referral, and the apex NS priming
+// answer with signatures and glue. Its cost must not grow with the zone.
+func BenchmarkHandleMiss(b *testing.B) {
+	cases := []struct {
+		name  string
+		query *dnswire.Message
+	}{
+		{"nx", dnswire.NewQuery(7, dnswire.MustName("junk.nosuchtld."), dnswire.TypeA)},
+		{"nx-DO", dnswire.NewQuery(7, dnswire.MustName("junk.nosuchtld."), dnswire.TypeA).WithEDNS(1232, true)},
+		{"referral", dnswire.NewQuery(7, dnswire.MustName("www.com."), dnswire.TypeA)},
+		{"apex-NS-DO", dnswire.NewQuery(7, dnswire.Root, dnswire.TypeNS).WithEDNS(4096, true)},
+	}
+	for _, tlds := range []int{120, 1500} {
+		z, _ := signedRootZone(b, tlds)
+		s, err := New(Config{Zone: z, DisableCache: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cases {
+			b.Run(fmt.Sprintf("tlds=%d/%s", tlds, c.name), func(b *testing.B) {
+				s.Handle(c.query, false) // build the zone's lazy sidecar outside the timer
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if s.Handle(c.query, false) == nil {
+						b.Fatal("dropped")
+					}
+				}
+			})
+		}
+	}
 }

@@ -261,9 +261,14 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatalf("query %d: rcode %s", i, resp.Header.Rcode)
 		}
 	}
+	// The slow path sends before it caches, so the last put may still be
+	// running: read the byte count under the cache's lock.
 	cache := s.state.Load().cache
-	if cache.bytes > 4096 {
-		t.Errorf("cache holds %d bytes, budget 4096", cache.bytes)
+	cache.mu.RLock()
+	held := cache.bytes
+	cache.mu.RUnlock()
+	if held > 4096 {
+		t.Errorf("cache holds %d bytes, budget 4096", held)
 	}
 	if n := cache.Len(); n == 0 || n >= 64 {
 		t.Errorf("cache has %d entries; want some but fewer than 64 (eviction)", n)

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/axfr"
@@ -65,7 +66,8 @@ type Config struct {
 	// DisableCache turns the response cache off, forcing every query down
 	// the full decode/lookup/pack path (ablation and benchmarks).
 	DisableCache bool
-	// CacheBytes bounds the response cache; 0 means the 8 MiB default.
+	// CacheBytes bounds the response cache; 0 means the 1 MiB default,
+	// sized for repeated names only (see defaultCacheBytes).
 	CacheBytes int64
 	// RRL enables BIND-style response-rate-limiting on the UDP path when
 	// Rate > 0 (see RRLConfig). The zero value leaves it off with no cost
@@ -214,16 +216,26 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	udps, err := s.listenShards(addr, workers)
-	if err != nil {
-		return nil, err
-	}
-	tcp, err := net.Listen("tcp", udps[0].LocalAddr().String())
-	if err != nil {
+	// With port 0 the kernel picks a free UDP port, which TCP may already
+	// hold (any outgoing connection's ephemeral port can collide); then
+	// the pair is bound again on a fresh pick.
+	_, port, _ := net.SplitHostPort(addr)
+	var udps []*net.UDPConn
+	var tcp net.Listener
+	for attempt := 1; ; attempt++ {
+		var err error
+		if udps, err = s.listenShards(addr, workers); err != nil {
+			return nil, err
+		}
+		if tcp, err = net.Listen("tcp", udps[0].LocalAddr().String()); err == nil {
+			break
+		}
 		for _, c := range udps {
 			c.Close()
 		}
-		return nil, fmt.Errorf("dnsserver: listen tcp: %w", err)
+		if port != "0" || attempt == 8 || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, fmt.Errorf("dnsserver: listen tcp: %w", err)
+		}
 	}
 	s.udps, s.tcp = udps, tcp
 	s.started = true
@@ -445,7 +457,8 @@ func (s *Server) answerChaos(resp *dnswire.Message, q dnswire.Question) {
 
 // answerINET answers class-IN queries from the best-matching authoritative
 // zone: authoritative data at or above the apex cut, referrals for
-// delegated names, NXDOMAIN otherwise.
+// delegated names, NXDOMAIN otherwise. Every zone lookup goes through one
+// Reader, whose records-examined tally feeds zone/records_examined.
 func (s *Server) answerINET(st *serveState, resp *dnswire.Message, q dnswire.Question, query *dnswire.Message) {
 	z := s.zoneFor(st.zone, q.Name)
 	if z == nil {
@@ -456,123 +469,95 @@ func (s *Server) answerINET(st *serveState, resp *dnswire.Message, q dnswire.Que
 	if opt, ok := query.EDNS(); ok {
 		dnssecOK = opt.Do
 	}
+	r := z.Reader()
+	answerZone(resp, &r, z, q, dnssecOK)
+	mRecordsExamined.Add(int64(r.Examined))
+}
 
-	// Exact data at the name?
-	answers := z.Lookup(q.Name, q.Type)
-	isDelegated := len(z.Delegation(q.Name)) > 0
+// answerZone answers q from z through r.
+func answerZone(resp *dnswire.Message, r *zone.Reader, z *zone.Zone, q dnswire.Question, dnssecOK bool) {
+	// Exact data at the name? The apex is never delegated.
+	answers := r.Lookup(q.Name, q.Type)
+	atApex := dnswire.CompareCanonical(q.Name, z.Apex) == 0
+	var deleg []dnswire.RR
+	if !atApex {
+		deleg = r.Delegation(q.Name)
+	}
 
-	if len(answers) > 0 && (!isDelegated || q.Name.Canonical() == z.Apex.Canonical()) {
+	if len(answers) > 0 && len(deleg) == 0 {
 		resp.Header.Authoritative = true
 		resp.Answers = answers
 		if dnssecOK {
-			resp.Answers = append(resp.Answers, coveringSigs(z, q.Name, q.Type)...)
+			resp.Answers = append(resp.Answers, r.Signatures(q.Name, q.Type)...)
 		}
-		if q.Name.Canonical() == z.Apex.Canonical() && q.Type == dnswire.TypeNS {
-			s.addGlue(resp, z, answers, dnssecOK)
+		if atApex && q.Type == dnswire.TypeNS {
+			addGlue(resp, r, answers, dnssecOK)
 		}
 		return
 	}
 
 	// Referral?
-	if deleg := z.Delegation(q.Name); len(deleg) > 0 {
+	if len(deleg) > 0 {
 		resp.Authority = deleg
-		s.addGlue(resp, z, deleg, false)
+		addGlue(resp, r, deleg, false)
 		return
 	}
 
 	// Name exists with other types (NODATA) or not at all (NXDOMAIN)?
-	if len(z.Lookup(q.Name, dnswire.TypeANY)) > 0 {
+	if len(r.Lookup(q.Name, dnswire.TypeANY)) > 0 {
 		resp.Header.Authoritative = true
-		s.addSOA(resp, z, dnssecOK)
+		addSOA(resp, r, dnssecOK)
 		if dnssecOK {
 			// NODATA proof: the NSEC at the queried name shows the type is
 			// absent from its bitmap (RFC 4035 §3.1.3.1).
-			s.addNSEC(resp, z, q.Name)
+			addNSEC(resp, r, q.Name)
 		}
 		return
 	}
 	resp.Header.Authoritative = true
 	resp.Header.Rcode = dnswire.RcodeNXDomain
-	s.addSOA(resp, z, dnssecOK)
+	addSOA(resp, r, dnssecOK)
 	if dnssecOK {
 		// NXDOMAIN proof: the NSEC covering the queried name, plus the one
 		// proving no wildcard could have matched (RFC 4035 §3.1.3.2). In
 		// the root zone, the apex NSEC proves wildcard absence.
-		s.addCoveringNSEC(resp, z, q.Name)
-		s.addNSEC(resp, z, z.Apex)
+		if rr, ok := r.CoveringNSEC(q.Name); ok {
+			resp.Authority = append(resp.Authority, rr)
+			resp.Authority = append(resp.Authority, r.Signatures(rr.Name, dnswire.TypeNSEC)...)
+		}
+		addNSEC(resp, r, z.Apex)
 	}
 }
 
 // addNSEC appends the NSEC RRset at name (with its RRSIG) to authority.
-func (s *Server) addNSEC(resp *dnswire.Message, z *zone.Zone, name dnswire.Name) {
-	for _, rr := range z.Lookup(name, dnswire.TypeNSEC) {
-		resp.Authority = append(resp.Authority, rr)
-	}
-	resp.Authority = append(resp.Authority, coveringSigs(z, name, dnswire.TypeNSEC)...)
-}
-
-// addCoveringNSEC appends the NSEC record whose owner/next-name span covers
-// the (nonexistent) queried name, with its RRSIG.
-func (s *Server) addCoveringNSEC(resp *dnswire.Message, z *zone.Zone, name dnswire.Name) {
-	for _, rr := range z.Records {
-		nsec, ok := rr.Data.(dnswire.NSECRecord)
-		if !ok {
-			continue
-		}
-		if nsecCovers(rr.Name, nsec.NextName, name) {
-			resp.Authority = append(resp.Authority, rr)
-			resp.Authority = append(resp.Authority, coveringSigs(z, rr.Name, dnswire.TypeNSEC)...)
-			return
-		}
-	}
-}
-
-// nsecCovers reports whether the NSEC span (owner, next) covers name in
-// canonical order, handling the chain's wrap-around at the apex.
-func nsecCovers(owner, next, name dnswire.Name) bool {
-	cmpOwner := dnswire.CompareCanonical(owner, name)
-	cmpNext := dnswire.CompareCanonical(name, next)
-	if dnswire.CompareCanonical(owner, next) < 0 {
-		return cmpOwner < 0 && cmpNext < 0
-	}
-	// Wrap-around span (last NSEC pointing back to the apex).
-	return cmpOwner < 0 || cmpNext < 0
+func addNSEC(resp *dnswire.Message, r *zone.Reader, name dnswire.Name) {
+	resp.Authority = append(resp.Authority, r.Lookup(name, dnswire.TypeNSEC)...)
+	resp.Authority = append(resp.Authority, r.Signatures(name, dnswire.TypeNSEC)...)
 }
 
 // addGlue appends A/AAAA (and with dnssecOK their RRSIGs) for NS targets.
-func (s *Server) addGlue(resp *dnswire.Message, z *zone.Zone, nsset []dnswire.RR, dnssecOK bool) {
+func addGlue(resp *dnswire.Message, r *zone.Reader, nsset []dnswire.RR, dnssecOK bool) {
 	for _, rr := range nsset {
 		ns, ok := rr.Data.(dnswire.NSRecord)
 		if !ok {
 			continue
 		}
-		resp.Additional = append(resp.Additional, z.Glue(ns.Host)...)
+		resp.Additional = append(resp.Additional, r.Glue(ns.Host)...)
 		if dnssecOK {
-			resp.Additional = append(resp.Additional, coveringSigs(z, ns.Host, dnswire.TypeA)...)
-			resp.Additional = append(resp.Additional, coveringSigs(z, ns.Host, dnswire.TypeAAAA)...)
+			resp.Additional = append(resp.Additional, r.Signatures(ns.Host, dnswire.TypeA)...)
+			resp.Additional = append(resp.Additional, r.Signatures(ns.Host, dnswire.TypeAAAA)...)
 		}
 	}
 }
 
 // addSOA puts the SOA (and optionally its RRSIG) in the authority section.
-func (s *Server) addSOA(resp *dnswire.Message, z *zone.Zone, dnssecOK bool) {
-	if soa, ok := z.SOA(); ok {
+func addSOA(resp *dnswire.Message, r *zone.Reader, dnssecOK bool) {
+	if soa, ok := r.SOA(); ok {
 		resp.Authority = append(resp.Authority, soa)
 		if dnssecOK {
-			resp.Authority = append(resp.Authority, coveringSigs(z, z.Apex, dnswire.TypeSOA)...)
+			resp.Authority = append(resp.Authority, r.Signatures(soa.Name, dnswire.TypeSOA)...)
 		}
 	}
-}
-
-// coveringSigs returns RRSIGs at name covering typ.
-func coveringSigs(z *zone.Zone, name dnswire.Name, typ dnswire.Type) []dnswire.RR {
-	var out []dnswire.RR
-	for _, rr := range z.Lookup(name, dnswire.TypeRRSIG) {
-		if sig, ok := rr.Data.(dnswire.RRSIGRecord); ok && sig.TypeCovered == typ {
-			out = append(out, rr)
-		}
-	}
-	return out
 }
 
 // Run is a convenience for examples: start on addr, block until ctx is done,

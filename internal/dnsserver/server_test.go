@@ -374,7 +374,7 @@ func TestNXDomainNSECProof(t *testing.T) {
 	covered := false
 	for _, rr := range nsecs {
 		nsec := rr.Data.(dnswire.NSECRecord)
-		if nsecCovers(rr.Name, nsec.NextName, dnswire.MustName("no-such-tld-xyz.")) {
+		if zone.NSECCovers(rr.Name, nsec.NextName, dnswire.MustName("no-such-tld-xyz.")) {
 			covered = true
 		}
 	}
@@ -418,7 +418,7 @@ func TestNSECCovers(t *testing.T) {
 		{"ws.", ".", "aa.", false}, // before the span
 	}
 	for _, c := range cases {
-		got := nsecCovers(dnswire.MustName(c.owner), dnswire.MustName(c.next), dnswire.MustName(c.name))
+		got := zone.NSECCovers(dnswire.MustName(c.owner), dnswire.MustName(c.next), dnswire.MustName(c.name))
 		if got != c.want {
 			t.Errorf("nsecCovers(%s, %s, %s) = %v, want %v", c.owner, c.next, c.name, got, c.want)
 		}

@@ -27,24 +27,39 @@ type Exchanger interface {
 	Exchange(addr netip.Addr, q *dnswire.Message) (*dnswire.Message, error)
 }
 
-// NetExchanger dials real sockets, mapping each address through AddrMap
-// when present (for test servers on loopback ports).
+// NetExchanger dials real sockets. With a nil AddrMap it dials each server
+// address itself on Port. A non-nil AddrMap closes the world: only mapped
+// addresses are dialled (at their mapped targets, such as test servers on
+// loopback ports), and any other address fails at once with an
+// *UnmappedError, without a packet sent.
 type NetExchanger struct {
-	// Port is the target port (53 by default).
+	// Port is the target port (53 by default) when AddrMap is nil.
 	Port int
-	// AddrMap overrides specific server addresses with dial targets.
+	// AddrMap maps server addresses to dial targets.
 	AddrMap map[netip.Addr]string
 	// Timeout bounds each exchange.
 	Timeout time.Duration
 }
 
+// UnmappedError reports a server address that a NetExchanger's AddrMap
+// does not map, so no server for it exists.
+type UnmappedError struct {
+	Addr netip.Addr
+}
+
+func (e *UnmappedError) Error() string {
+	return fmt.Sprintf("resolver: no server mapped for %s", e.Addr)
+}
+
 // Exchange implements Exchanger.
 func (n *NetExchanger) Exchange(addr netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-	target := ""
+	var target string
 	if n.AddrMap != nil {
 		target = n.AddrMap[addr]
-	}
-	if target == "" {
+		if target == "" {
+			return nil, &UnmappedError{Addr: addr}
+		}
+	} else {
 		port := n.Port
 		if port == 0 {
 			port = 53
@@ -64,8 +79,10 @@ type Result struct {
 	Answers []dnswire.RR
 	// Rcode is the final response code (NXDOMAIN surfaces here).
 	Rcode dnswire.Rcode
-	// Delegation is the deepest referral reached when no server for the
-	// next zone could be contacted (its NS RRset).
+	// Delegation is the deepest referral reached (its NS RRset). The
+	// resolution stops there when the referral has no glue or when every
+	// server it names is unmapped (see UnmappedError): the study's
+	// synthetic TLD servers are never instantiated.
 	Delegation []dnswire.RR
 	// Chain lists the zones traversed (".", "com.", ...).
 	Chain []dnswire.Name
@@ -172,6 +189,11 @@ func (r *Resolver) Resolve(name dnswire.Name, typ dnswire.Type) (*Result, error)
 	}
 	for step := 0; step < maxSteps; step++ {
 		resp, err := r.queryAny(servers, name, typ)
+		var unmapped *UnmappedError
+		if step > 0 && errors.As(err, &unmapped) {
+			// No server of the referred zone exists: stop at the referral.
+			return res, nil
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +244,9 @@ func (r *Resolver) rootServers() []netip.Addr {
 	return out
 }
 
-// queryAny tries servers in order until one answers.
+// queryAny tries servers in order until one answers. Its error is the last
+// failure other than an unmapped address, or an *UnmappedError when every
+// server was unmapped.
 func (r *Resolver) queryAny(servers []netip.Addr, name dnswire.Name, typ dnswire.Type) (*dnswire.Message, error) {
 	var lastErr error = ErrNoServers
 	// The DO bit requests DNSSEC records; needed when denial proofs are
@@ -232,7 +256,10 @@ func (r *Resolver) queryAny(servers []netip.Addr, name dnswire.Name, typ dnswire
 		q := dnswire.NewQuery(uint16(r.rng.Uint32()), name, typ).WithEDNS(4096, do)
 		resp, err := r.Exchange.Exchange(addr, q)
 		if err != nil {
-			lastErr = err
+			var ue *UnmappedError
+			if !errors.As(err, &ue) || lastErr == ErrNoServers {
+				lastErr = err
+			}
 			continue
 		}
 		if resp.Header.Rcode == dnswire.RcodeServFail || resp.Header.Rcode == dnswire.RcodeRefused {

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"errors"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -113,6 +114,23 @@ func TestResolveStopsAtGluelessReferral(t *testing.T) {
 	}
 	if len(res.Chain) < 2 || res.Chain[1] != "com." {
 		t.Errorf("chain = %v", res.Chain)
+	}
+}
+
+// TestNetExchangerUnmappedFailsFast pins the closed-world policy: with an
+// AddrMap, an address it does not map fails at once with a typed error and
+// no packet leaves the host.
+func TestNetExchangerUnmappedFailsFast(t *testing.T) {
+	ex := &NetExchanger{AddrMap: map[netip.Addr]string{}, Timeout: time.Minute}
+	addr := netip.MustParseAddr("192.0.2.1")
+	start := time.Now()
+	_, err := ex.Exchange(addr, dnswire.NewQuery(1, dnswire.Root, dnswire.TypeNS))
+	var ue *UnmappedError
+	if !errors.As(err, &ue) || ue.Addr != addr {
+		t.Fatalf("err = %v, want *UnmappedError for %s", err, addr)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("unmapped exchange took %v; it must not wait on the network", d)
 	}
 }
 

@@ -110,6 +110,7 @@ var Registry = []Def{
 	{Name: "dataset/replay_blocks", Kind: KindCounter, Class: ClassStream, Help: "sealed blocks decoded and delivered during replay"},
 	{Name: "dataset/replay_checkpoints", Kind: KindCounter, Class: ClassStream, Help: "replay checkpoints written"},
 	{Name: "dns/queries", Kind: KindCounter, Class: ClassStream, Help: "DNS queries answered by the in-process server"},
+	{Name: "zone/records_examined", Kind: KindCounter, Class: ClassStream, Help: "zone records examined by the lookups answering DNS queries (work counter)"},
 	{Name: "axfr/serves", Kind: KindCounter, Class: ClassStream, Help: "zone transfers served"},
 
 	// Process-local work (deterministic across worker counts, repeats on

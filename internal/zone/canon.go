@@ -52,6 +52,145 @@ type canonState struct {
 	// atomically.
 	//rootlint:atomic
 	sigOK []uint32
+
+	// index is the owner index (see ownerIndex), derived from order and
+	// groups on the first lookup. It is rebuilt from scratch whenever they
+	// are, never edited in place, so clones may share it.
+	index atomic.Pointer[ownerIndex]
+}
+
+// ownerIndex is the sidecar's lookup index: the zone's distinct owner names
+// in canonical order, each with its span of record indices, so a lookup is
+// one probe plus a filter over one owner's records instead of a scan of the
+// zone.
+type ownerIndex struct {
+	// owners lists the distinct canonical owner names in canonical order.
+	owners []ownerSpan
+	// pos maps each canonical owner name to its position in owners. An
+	// exact-name probe here costs one hash of the name, where a binary
+	// search over owners costs ~14 label-wise canonical comparisons at
+	// 1,500 TLDs (a lookup took ~1.1 µs that way, ~0.2 µs with the map).
+	// The canonical order is kept for the NSEC search, which needs the
+	// greatest owner below a name.
+	pos map[string]int32
+	// recs holds every record index, grouped by owner in owner order and in
+	// insertion order within an owner. For a canonicalized zone it is the
+	// identity permutation shared with canonState.order.
+	recs []int
+	// nsec lists the positions in owners of the names that own an NSEC
+	// record, in canonical order.
+	nsec []int32
+	// ring reports that the NSEC records form an intact chain: exactly one
+	// per owner in nsec, each naming the next such owner, the last naming
+	// the first. Then the covering NSEC of any absent name is the one at
+	// the greatest NSEC owner below it, and it is the only one.
+	ring bool
+}
+
+// ownerSpan is one owner name and its records, recs[lo:hi].
+type ownerSpan struct {
+	name   dnswire.Name
+	lo, hi int32
+}
+
+// ensureIndex derives the owner index once per zone version from the
+// canonical order and RRset grouping; the steady-state cost is one atomic
+// load.
+func (cs *canonState) ensureIndex(z *Zone) *ownerIndex {
+	if ix := cs.index.Load(); ix != nil {
+		return ix
+	}
+	cs.ensureOrder(z)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if ix := cs.index.Load(); ix != nil {
+		return ix
+	}
+	ix := buildIndex(z, cs.order, cs.groups)
+	cs.index.Store(ix)
+	return ix
+}
+
+// buildIndex merges the RRset groups (canonical order: every group of one
+// owner is adjacent) into owner spans and checks the NSEC chain.
+func buildIndex(z *Zone, order []int, groups [][]int) *ownerIndex {
+	ix := &ownerIndex{recs: order, pos: make(map[string]int32)}
+	copied := false
+	lo := 0
+	for gi := 0; gi < len(groups); {
+		name := z.Records[groups[gi][0]].Name.Canonical()
+		hi, hasNSEC := lo, false
+		for ; gi < len(groups) && dnswire.CompareCanonical(z.Records[groups[gi][0]].Name, name) == 0; gi++ {
+			hi += len(groups[gi])
+			hasNSEC = hasNSEC || z.Records[groups[gi][0]].Type() == dnswire.TypeNSEC
+		}
+		if span := ix.recs[lo:hi]; !sort.IntsAreSorted(span) {
+			// Only zones never passed through Canonicalize get here.
+			if !copied {
+				ix.recs, copied = append([]int(nil), order...), true
+			}
+			sort.Ints(ix.recs[lo:hi])
+		}
+		if hasNSEC {
+			ix.nsec = append(ix.nsec, int32(len(ix.owners)))
+		}
+		ix.pos[string(name)] = int32(len(ix.owners))
+		ix.owners = append(ix.owners, ownerSpan{name: name, lo: int32(lo), hi: int32(hi)})
+		lo = hi
+	}
+	ix.ring = true
+	for k, pos := range ix.nsec {
+		next := ix.owners[ix.nsec[(k+1)%len(ix.nsec)]].name
+		count := 0
+		for _, i := range ix.span(int(pos)) {
+			nsec, ok := z.Records[i].Data.(dnswire.NSECRecord)
+			if !ok {
+				continue
+			}
+			count++
+			if dnswire.CompareCanonical(nsec.NextName, next) != 0 {
+				ix.ring = false
+			}
+		}
+		if count != 1 {
+			ix.ring = false
+		}
+	}
+	return ix
+}
+
+// span returns the record indices of owners[pos].
+func (ix *ownerIndex) span(pos int) []int {
+	o := ix.owners[pos]
+	return ix.recs[o.lo:o.hi:o.hi]
+}
+
+// find returns the record indices owned by name (any case), or nil. A name
+// with upper-case letters is folded into a stack buffer for a second probe,
+// so a lookup allocates nothing. No owner is longer than the buffer: a
+// presentation-form name without escapes holds at most 254 bytes.
+//
+//rootlint:hotpath
+func (ix *ownerIndex) find(name dnswire.Name) []int {
+	pos, ok := ix.pos[string(name)]
+	if !ok && len(name) <= 256 {
+		var buf [256]byte
+		folded, upper := buf[:len(name)], false
+		for i := range folded {
+			c := name[i]
+			if 'A' <= c && c <= 'Z' {
+				c, upper = c+'a'-'A', true
+			}
+			folded[i] = c
+		}
+		if upper {
+			pos, ok = ix.pos[string(folded)]
+		}
+	}
+	if !ok {
+		return nil
+	}
+	return ix.span(int(pos))
 }
 
 // state returns the sidecar, installing an empty one on first use.
@@ -201,7 +340,8 @@ func (z *Zone) SetSigVerdict(i int, ok bool) {
 
 // MutateRecord applies fn to z.Records[i] and incrementally invalidates the
 // sidecar: only the touched record's canonical form is re-encoded, the cached
-// permutation is dropped (a flip can reorder the record among its siblings),
+// permutation and owner index are dropped (a flip can reorder the record
+// among its siblings or move it to another owner),
 // and cached signature verdicts affected by the change are cleared. This is
 // what makes bitflip fault injection cheap on copy-on-write clones.
 func (z *Zone) MutateRecord(i int, fn func(*dnswire.RR)) {
@@ -221,6 +361,7 @@ func (z *Zone) MutateRecord(i int, fn func(*dnswire.RR)) {
 	cs.wire[i], cs.rd[i] = dnswire.CanonicalRR(post, post.TTL)
 	cs.orderDone.Store(false)
 	cs.order, cs.groups = nil, nil
+	cs.index.Store(nil)
 
 	preName, preType := pre.Name.Canonical(), pre.Type()
 	postName, postType := post.Name.Canonical(), post.Type()
@@ -246,7 +387,8 @@ func (z *Zone) MutateRecord(i int, fn func(*dnswire.RR)) {
 }
 
 // CloneCOW returns a copy of z that shares the (immutable) cached canonical
-// wire forms, permutation, and signature verdicts with the original. Records
+// wire forms, permutation, owner index, and signature verdicts with the
+// original. Records
 // themselves are value-copied as in Clone; a subsequent MutateRecord on the
 // clone re-encodes only the touched slot and never writes through to the
 // parent. This replaces the deep Clone in the bitflip path: flipping one bit
@@ -269,6 +411,7 @@ func (z *Zone) CloneCOW() *Zone {
 	if cs.orderDone.Load() {
 		nc.order, nc.groups = cs.order, cs.groups
 		nc.orderDone.Store(true)
+		nc.index.Store(cs.index.Load())
 	}
 	cs.mu.Unlock()
 	nc.wiresDone.Store(true)

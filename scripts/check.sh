@@ -1,7 +1,7 @@
 #!/bin/sh
-# CI robustness step: static analysis, a short fuzz smoke over the wire
-# codec, and the chaos matrix (kill/resume byte-identity at every failpoint
-# site crossed with serial and parallel workers).
+# CI robustness step: static analysis, the full test suite, a short fuzz
+# smoke over the wire codec, and the chaos matrix (kill/resume byte-identity
+# at every failpoint site crossed with serial and parallel workers).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,11 @@ if [ "$lint_elapsed" -gt "$LINT_BUDGET_SECS" ]; then
     echo "rootlint: exceeded the ${LINT_BUDGET_SECS}s lint budget" >&2
     exit 1
 fi
+
+# The whole tier-1 suite, uncached: every test in the tree, not only the
+# -run patterns the steps below pick. A red test anywhere fails the check.
+echo "== go test ./... =="
+go test -count=1 -timeout 20m ./...
 
 # Telemetry under the race detector: many writers hammer every metric kind
 # and the span ring while readers snapshot and checkpoint concurrently, so a
